@@ -38,11 +38,11 @@ bench-kernels:
 	python benchmarks/bench_kernels.py
 
 # Native-kernel focus (docs/NATIVE.md): the compiled-kernel tests, the
-# kernels benchmark with native dispatch forced on, and the compiled
-# Table 1/2 reproductions through the hashed artifact cache.
+# kernels benchmark (compiled Figure 8 columns + warm-cache gate), and
+# the compiled Table 1/2 reproductions through the hashed artifact cache.
 bench-native:
 	pytest -q tests/runtime/test_native.py tests/runtime/test_emit_c.py
-	REPRO_NATIVE=on python benchmarks/bench_kernels.py
+	python benchmarks/bench_kernels.py
 	python -m repro table1c
 	python -m repro table2c
 

@@ -65,16 +65,15 @@ from repro.runtime import (
     cached_localized_arrays,
     clear_plan_caches,
     collect,
-    collect_reference,
     compute_comm_schedule,
     compute_comm_schedule_reference,
     distribute,
-    distribute_reference,
     get_shape,
     make_plan,
     native_available,
 )
 from repro.runtime.native import get_runtime_kernels, reset_native_state
+from repro.runtime.oracles import collect_reference, distribute_reference
 
 
 def make_1d(name: str, n: int, p: int, k: int, a: int = 1, b: int = 0) -> DistributedArray:
@@ -436,8 +435,8 @@ def main(argv=None) -> int:
             return 1
         print("ok: compiled kernels bit-identical to interpreted shapes")
     else:
-        print("note: no usable C compiler -- native rows skipped, "
-              "NumPy fallback covers dispatch")
+        print("note: no usable C compiler -- native rows skipped "
+              "(the executors never need one)")
 
     fill_cases = table2_cases()
     if args.quick:

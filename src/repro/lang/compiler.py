@@ -84,7 +84,6 @@ class CompiledProgram:
     grid: ProcessorGrid
     arrays: dict[str, DistributedArray]
     statements: list[LoweredStatement]
-    default_shape: str = "d"
 
     @property
     def nprocs(self) -> int:
@@ -151,7 +150,7 @@ def _resolve_format(fmt: str, k: int | None):
     return CyclicK(k)
 
 
-def compile_program(program: Program, *, default_shape: str = "d") -> CompiledProgram:
+def compile_program(program: Program) -> CompiledProgram:
     """Lower a parsed :class:`Program`; see module docstring."""
     if len(program.processors) != 1:
         raise CompileError(
@@ -285,14 +284,9 @@ def compile_program(program: Program, *, default_shape: str = "d") -> CompiledPr
             array = resolve(stmt.target)
             secs = _check_bounds(stmt.target, array)
             value = stmt.value
-            shape_choice = default_shape
-            if array.rank == 1 and not array.axis_maps[0].alignment.is_identity:
-                if shape_choice == "d":
-                    shape_choice = "b"  # shape (d) needs identity alignment
 
-            def run_fill(vm, array=array, secs=secs, value=value,
-                         shape_choice=shape_choice):
-                return execute_fill(vm, array, secs, value, shape=shape_choice)
+            def run_fill(vm, array=array, secs=secs, value=value):
+                return execute_fill(vm, array, secs, value)
 
             statements.append(LoweredStatement(
                 f"{stmt.target.array}({_format_sections(secs)}) = {value}",
@@ -414,9 +408,9 @@ def compile_program(program: Program, *, default_shape: str = "d") -> CompiledPr
         else:  # pragma: no cover - parser only produces the four kinds
             raise CompileError(f"unsupported statement {stmt!r}")
 
-    return CompiledProgram(grid, arrays, statements, default_shape)
+    return CompiledProgram(grid, arrays, statements)
 
 
-def compile_source(source: str, *, default_shape: str = "d") -> CompiledProgram:
+def compile_source(source: str) -> CompiledProgram:
     """Parse + compile in one step."""
-    return compile_program(parse_program(source), default_shape=default_shape)
+    return compile_program(parse_program(source))

@@ -13,10 +13,10 @@ memory with one of these loops (the paper's C fragments correspond to
   icc build);
 * **shape (d)** -- two-table lookup indexed by local offset
   (``deltaM`` + ``NextOffset``), the fastest of the four in Table 2;
-* **shape (v)** -- our NumPy-vectorized ablation: materialize all local
+* **shape (v)** -- our NumPy-vectorized form: materialize all local
   addresses with a cumulative sum of the tiled gap table and assign in
-  one fancy-indexing store (idiomatic Python per the HPC guides; not in
-  the paper).
+  one fancy-indexing store (not in the paper).  This is the one shape
+  the executors run; (a)-(d) are Table 2 subjects and test oracles.
 
 Every function assigns ``value`` to each element the plan covers and
 returns the number of elements written.  ``memory`` may be a NumPy
@@ -131,9 +131,12 @@ def materialize_addresses(plan: AccessPlan) -> np.ndarray:
     """
     if plan.count == 0:
         return np.empty(0, dtype=np.int64)
-    gaps = np.asarray(plan.delta_m, dtype=np.int64)
-    reps = -(-plan.count // plan.length)  # ceil
-    steps = np.tile(gaps, reps)[: plan.count - 1]
+    n = plan.count - 1
+    # Convert only the gaps the walk uses: short walks on long tables
+    # (few elements per rank, large k) would otherwise pay for all k.
+    steps = np.asarray(plan.delta_m[:n], dtype=np.int64)
+    if n > plan.length:
+        steps = np.tile(steps, -(-n // plan.length))[:n]
     out = np.empty(plan.count, dtype=np.int64)
     out[0] = plan.start_local
     if plan.count > 1:
@@ -143,8 +146,9 @@ def materialize_addresses(plan: AccessPlan) -> np.ndarray:
 
 
 def fill_vectorized(memory, plan: AccessPlan, value) -> int:
-    """Shape (v): one fancy-indexed store over the materialized address
-    vector (ablation A4; idiomatic NumPy, no per-element interpretation)."""
+    """Shape (v), the executors' fill: one fancy-indexed store over the
+    materialized address vector, in the ascending order shapes (a)-(d)
+    visit (no per-element interpretation)."""
     addrs = materialize_addresses(plan)
     if len(addrs):
         memory[addrs] = value
@@ -193,13 +197,13 @@ SHAPES: dict[str, Callable] = {
 def get_shape(name: str, native: bool | None = None) -> Callable:
     """Look up a node-code shape by its Figure 8 label (a/b/c/d/v).
 
-    ``native`` selects the compiled-kernel dispatch seam
-    (:mod:`repro.runtime.native`): ``True`` prefers the compiled shape
-    (falling back per call when the memory is not native-servable or no
-    compiler exists), ``False`` pins the interpreter, ``None`` follows
-    the global mode.  Either way the returned callable has the same
-    ``(memory, plan, value) -> written`` contract and writes the same
-    bits -- the Python shapes remain the semantics of record.
+    ``native=True`` returns the compiled shape from
+    :mod:`repro.runtime.native` (the Table 2 subject), falling back per
+    call to the Python shape when the memory is not native-servable or
+    no compiler exists; otherwise the Python shape itself.  Either way
+    the callable has the same ``(memory, plan, value) -> written``
+    contract and writes the same bits.  The executors use neither: they
+    always run :func:`fill_vectorized`.
     """
     try:
         fill = SHAPES[name]
@@ -207,9 +211,11 @@ def get_shape(name: str, native: bool | None = None) -> Callable:
         raise ValueError(
             f"unknown node-code shape {name!r}; choose from {sorted(SHAPES)}"
         ) from None
-    from .native import kernels_for
+    if not native:
+        return fill
+    from .native import get_runtime_kernels
 
-    kernels = kernels_for(native)
+    kernels = get_runtime_kernels()
     if kernels is None:
         return fill
 

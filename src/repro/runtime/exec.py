@@ -7,8 +7,9 @@ communication schedules, and the SPMD machine runs the node programs.
 * :func:`distribute` / :func:`collect` move whole arrays between a
   sequential NumPy "host" image and per-rank local memories (used for
   initialization and verification);
-* :func:`execute_fill` runs ``A(l:u:s) = value`` with any node-code
-  shape from Figure 8;
+* :func:`execute_fill` runs ``A(l:u:s) = value`` through the vectorized
+  ΔM traversal (the Figure 8 shapes are Table 2 subjects in
+  :mod:`repro.runtime.codegen`, not dispatch targets);
 * :func:`execute_copy` runs ``A(sec_a) = B(sec_b)`` with generated
   communication (pack / exchange / unpack supersteps).
 """
@@ -20,10 +21,8 @@ import numpy as np
 from ..distribution.array import DistributedArray
 from ..distribution.section import RegularSection
 from ..machine.vm import VirtualMachine
-from ..obs import ambient
 from .address import flat_local_addresses
-from .codegen import get_shape, materialize_addresses
-from .native import kernels_for
+from .codegen import fill_vectorized
 from .commsets import CommSchedule
 from .plancache import (
     cached_array_plan,
@@ -38,8 +37,6 @@ __all__ = [
     "scatter_slots",
     "distribute",
     "collect",
-    "distribute_reference",
-    "collect_reference",
     "execute_fill",
     "execute_copy",
     "execute_combine",
@@ -54,28 +51,15 @@ def as_index(slots) -> np.ndarray:
     return np.asarray(slots, dtype=np.int64)
 
 
-def gather_slots(mem, slots, kernels) -> np.ndarray:
-    """Pack ``mem[slots]`` into a fresh buffer -- natively when
-    ``kernels`` (from :func:`repro.runtime.native.kernels_for`) can
-    serve the call, else the NumPy fancy-index copy.  The executors'
-    and the resilient exchange's one packing idiom."""
-    if kernels is not None:
-        out = kernels.gather(mem, as_index(slots))
-        if out is not None:
-            ambient().inc("native.dispatch_native")
-            return out
-        ambient().inc("native.dispatch_numpy")
+def gather_slots(mem, slots) -> np.ndarray:
+    """Pack ``mem[slots]`` into a fresh buffer (one fancy-index copy) --
+    the executors' and the resilient exchange's one packing idiom."""
     return mem[as_index(slots)].copy()
 
 
-def scatter_slots(mem, slots, values, kernels) -> None:
+def scatter_slots(mem, slots, values) -> None:
     """Unpack ``values`` into ``mem[slots]`` -- the scatter twin of
-    :func:`gather_slots`, with the same native-or-NumPy dispatch."""
-    if kernels is not None:
-        if kernels.scatter(mem, as_index(slots), values):
-            ambient().inc("native.dispatch_native")
-            return
-        ambient().inc("native.dispatch_numpy")
+    :func:`gather_slots`."""
     mem[as_index(slots)] = values
 
 
@@ -128,10 +112,7 @@ def _is_lowest_owner(array: DistributedArray, rank: int) -> bool:
 
 
 def distribute(
-    vm: VirtualMachine,
-    array: DistributedArray,
-    values: np.ndarray,
-    native: bool | None = None,
+    vm: VirtualMachine, array: DistributedArray, values: np.ndarray
 ) -> None:
     """Scatter a host image into per-rank local memories (named after the
     array).  Replicated axes receive full copies.
@@ -139,9 +120,8 @@ def distribute(
     Vectorized: each rank's local image is one cross-product fancy-index
     gather/scatter built from the per-dimension layout closed forms --
     no per-element ownership tests
-    (:func:`distribute_reference` keeps that scalar sweep as the oracle).
-    With ``native`` (see :mod:`repro.runtime.native`), rank-1 arrays run
-    the gather/scatter pair through the compiled pack/unpack kernels.
+    (:func:`repro.runtime.oracles.distribute_reference` keeps that
+    scalar sweep as the oracle).
     """
     _check_vm(vm, array)
     values = np.asarray(values)
@@ -149,42 +129,31 @@ def distribute(
         raise ValueError(
             f"host image shape {values.shape} != array shape {array.shape}"
         )
-    kernels = kernels_for(native)
     with vm.obs.span("distribute", array=array.name):
         for rank in range(array.grid.size):
             shape = array.local_shape(rank)
             local = np.zeros(shape, dtype=values.dtype)
             dims = _dim_images(array, rank)
-            if kernels is not None and array.rank == 1:
-                idx, slots = dims[0]
-                scatter_slots(local, slots, gather_slots(values, idx, kernels),
-                              kernels)
-            else:
-                local[np.ix_(*[slots for _, slots in dims])] = values[
-                    np.ix_(*[idx for idx, _ in dims])
-                ]
+            local[np.ix_(*[slots for _, slots in dims])] = values[
+                np.ix_(*[idx for idx, _ in dims])
+            ]
             proc = vm.processors[rank]
             proc.allocate(array.name, local.size, dtype=values.dtype)
             proc.memory(array.name)[:] = local.reshape(-1)
 
 
 def collect(
-    vm: VirtualMachine,
-    array: DistributedArray,
-    dtype=np.float64,
-    native: bool | None = None,
+    vm: VirtualMachine, array: DistributedArray, dtype=np.float64
 ) -> np.ndarray:
     """Gather per-rank local memories back into one host image.
 
     Replicated elements are taken from the lowest owning rank; the
     integration tests separately assert replica coherence.  Vectorized
     like :func:`distribute`: one cross-product fancy-index per
-    contributing rank instead of a per-element ownership sweep (and the
-    compiled gather/scatter pair for rank-1 arrays under ``native``).
+    contributing rank instead of a per-element ownership sweep.
     """
     _check_vm(vm, array)
     out = np.zeros(array.shape, dtype=dtype)
-    kernels = kernels_for(native)
     with vm.obs.span("collect", array=array.name):
         for rank in range(array.grid.size):
             if not _is_lowest_owner(array, rank):
@@ -193,51 +162,9 @@ def collect(
             local = vm.processors[rank].memory(array.name).reshape(
                 array.local_shape(rank)
             )
-            if kernels is not None and array.rank == 1:
-                idx, slots = dims[0]
-                scatter_slots(out, idx, gather_slots(local, slots, kernels),
-                              kernels)
-            else:
-                out[np.ix_(*[idx for idx, _ in dims])] = local[
-                    np.ix_(*[slots for _, slots in dims])
-                ]
-    return out
-
-
-def distribute_reference(
-    vm: VirtualMachine, array: DistributedArray, values: np.ndarray
-) -> None:
-    """Element-at-a-time :func:`distribute` (the original ``np.ndindex``
-    sweep), kept as the oracle the property tests and the kernel
-    benchmarks compare the vectorized path against."""
-    ambient().inc("kernels.scalar_path_calls")
-    _check_vm(vm, array)
-    values = np.asarray(values)
-    if values.shape != array.shape:
-        raise ValueError(
-            f"host image shape {values.shape} != array shape {array.shape}"
-        )
-    for rank in range(array.grid.size):
-        local = np.zeros(array.local_size(rank), dtype=values.dtype)
-        for idx in np.ndindex(*array.shape):
-            if array.is_local(idx, rank):
-                local[array.local_address(idx, rank)] = values[idx]
-        proc = vm.processors[rank]
-        proc.allocate(array.name, len(local), dtype=values.dtype)
-        proc.memory(array.name)[:] = local
-
-
-def collect_reference(
-    vm: VirtualMachine, array: DistributedArray, dtype=np.float64
-) -> np.ndarray:
-    """Element-at-a-time :func:`collect` (the original per-element
-    ownership sweep), kept as the oracle for the vectorized path."""
-    ambient().inc("kernels.scalar_path_calls")
-    _check_vm(vm, array)
-    out = np.zeros(array.shape, dtype=dtype)
-    for idx in np.ndindex(*array.shape):
-        rank = array.owners(idx)[0]
-        out[idx] = vm.processors[rank].memory(array.name)[array.local_address(idx, rank)]
+            out[np.ix_(*[idx for idx, _ in dims])] = local[
+                np.ix_(*[slots for _, slots in dims])
+            ]
     return out
 
 
@@ -246,63 +173,41 @@ def execute_fill(
     array: DistributedArray,
     sections: tuple[RegularSection, ...],
     value,
-    shape: str = "d",
-    native: bool | None = None,
 ) -> int:
-    """Run ``A(sections) = value`` on every rank; returns elements written.
+    """Run ``A(sections) = value`` on every rank; returns the number of
+    logical elements written.
 
-    Rank-1 arrays use the requested node-code shape directly (the
-    paper's Figure 8 experiment); multidimensional arrays traverse the
-    per-dimension plans with vectorized address materialization (outer
-    dims) around the requested shape is not meaningful there, so they
-    always use the vectorized path.  ``native`` selects the compiled
-    node-code kernels (:mod:`repro.runtime.native`) for both cases,
-    falling back to the interpreter/NumPy paths bit-identically.
+    Rank-1 arrays store through the cached plan's ΔM table
+    (:func:`repro.runtime.codegen.fill_vectorized`: ``start +
+    cumsum(tile(ΔM))``, for any alignment); multidimensional arrays
+    through the outer sum of the per-dimension slot vectors (the
+    Section-2 reduction).  Every rank holding a replica stores, but
+    each element counts once, at its lowest owner.
     """
     _check_vm(vm, array)
     if len(sections) != array.rank:
         raise ValueError(
             f"need {array.rank} sections for {array.name}, got {len(sections)}"
         )
-    fill = get_shape(shape, native=native)
-    kernels = kernels_for(native)
+    replicated = any(
+        array.is_replicated_over_axis(axis) for axis in range(array.grid.rank)
+    )
     total = 0
-    with vm.obs.span("execute_fill", array=array.name, shape=shape):
-        if array.rank == 1:
-            for rank in range(array.grid.size):
+    with vm.obs.span("execute_fill", array=array.name):
+        for rank in range(array.grid.size):
+            if array.rank == 1:
                 plan = cached_array_plan(array, 0, sections[0], rank)
                 if plan.is_empty:
                     continue
-                if shape == "d" and plan.start_offset is None:
-                    raise ValueError(
-                        "shape 'd' requires identity alignment; use shapes a/b/c/v"
-                    )
                 memory = vm.processors[rank].memory(array.name)
-                total += fill(memory, plan, value)
-            return total
-        replicated = any(
-            array.is_replicated_over_axis(axis) for axis in range(array.grid.rank)
-        )
-        for rank in range(array.grid.size):
-            memory = vm.processors[rank].memory(array.name)
-            if replicated:
-                # Slow path: per-element ownership bookkeeping so each logical
-                # element is counted once (at its lowest owner) even though it
-                # is written on every holding rank.
-                pairs = array.local_section_elements(sections, rank)
-                for idx, addr in pairs:
-                    memory[addr] = value
-                total += sum(1 for idx, _ in pairs if array.owners(idx)[0] == rank)
+                written = fill_vectorized(memory, plan, value)
             else:
-                # Fast path (the Section-2 reduction, vectorized): outer-sum of
-                # the per-dimension 1-D slot vectors, one fancy-indexed store
-                # (compiled when the native kernels can serve it).
                 addrs = flat_local_addresses(array, sections, rank)
                 if len(addrs):
-                    if (kernels is None
-                            or kernels.fill_indexed(memory, addrs, value) is None):
-                        memory[addrs] = value
-                total += len(addrs)
+                    vm.processors[rank].memory(array.name)[addrs] = value
+                written = len(addrs)
+            if not replicated or _is_lowest_owner(array, rank):
+                total += written
     return total
 
 
@@ -313,7 +218,6 @@ def execute_copy(
     b: DistributedArray,
     sec_b: RegularSection,
     schedule: CommSchedule | None = None,
-    native: bool | None = None,
 ) -> CommSchedule:
     """Run ``A(sec_a) = B(sec_b)`` with generated communication.
 
@@ -321,9 +225,7 @@ def execute_copy(
     unpack into LHS local memory.  A precomputed ``schedule`` may be
     passed (the compile-time-constants case the paper discusses);
     otherwise one comes from the plan cache (repeated statements over
-    identically mapped operands reuse the schedule object).  ``native``
-    routes the pack/unpack hot loops through the compiled
-    gather/scatter kernels (:mod:`repro.runtime.native`).
+    identically mapped operands reuse the schedule object).
     """
     _check_vm(vm, a)
     _check_vm(vm, b)
@@ -331,7 +233,6 @@ def execute_copy(
         with vm.obs.span("schedule", statement="copy"):
             schedule = cached_comm_schedule(a, sec_a, b, sec_b)
     tag = ("copy", a.name, b.name)
-    kernels = kernels_for(native)
 
     # Fortran semantics: the RHS is read in full before any element is
     # stored.  All payloads -- remote sends AND local copies -- are
@@ -344,16 +245,16 @@ def execute_copy(
             return
         src_mem = ctx.memory(b.name)
         for tr in schedule.sends_from(ctx.rank):
-            ctx.send(tr.dest, tag, gather_slots(src_mem, tr.src_slots, kernels))
+            ctx.send(tr.dest, tag, gather_slots(src_mem, tr.src_slots))
         staged = [
-            (tr, gather_slots(src_mem, tr.src_slots, kernels))
+            (tr, gather_slots(src_mem, tr.src_slots))
             for tr in schedule.locals_
             if tr.source == ctx.rank
         ]
         if staged:
             dst_mem = ctx.memory(a.name)
             for tr, values in staged:
-                scatter_slots(dst_mem, tr.dst_slots, values, kernels)
+                scatter_slots(dst_mem, tr.dst_slots, values)
 
     def unpack_phase(ctx):
         if ctx.rank >= a.grid.size:
@@ -361,7 +262,7 @@ def execute_copy(
         dst_mem = ctx.memory(a.name)
         for tr in schedule.receives_at(ctx.rank):
             payload = ctx.recv(tr.source, tag)
-            scatter_slots(dst_mem, tr.dst_slots, payload, kernels)
+            scatter_slots(dst_mem, tr.dst_slots, payload)
 
     with vm.obs.span("execute_copy", array=a.name, rhs=b.name):
         vm.bsp(pack_phase, unpack_phase)
@@ -465,16 +366,14 @@ def execute_copy_2d(
     secs_b,
     schedule=None,
     rhs_dims: tuple[int, int] = (0, 1),
-    native: bool | None = None,
 ):
     """Run the 2-D statement ``A(secs_a) = B(secs_b)`` with communication.
 
     The tensor-product schedule of
     :func:`repro.runtime.commsets2d.compute_comm_schedule_2d`; the same
-    pack / exchange / unpack supersteps (and ``native`` pack/unpack
-    dispatch) as :func:`execute_copy`.  ``rhs_dims=(1, 0)`` pairs LHS
-    dimension 0 with RHS dimension 1 -- the distributed transpose (see
-    :func:`execute_transpose`).
+    pack / exchange / unpack supersteps as :func:`execute_copy`.
+    ``rhs_dims=(1, 0)`` pairs LHS dimension 0 with RHS dimension 1 --
+    the distributed transpose (see :func:`execute_transpose`).
     """
     _check_vm(vm, a)
     _check_vm(vm, b)
@@ -483,7 +382,6 @@ def execute_copy_2d(
             a, tuple(secs_a), b, tuple(secs_b), rhs_dims
         )
     tag = ("copy2d", a.name, b.name)
-    kernels = kernels_for(native)
 
     # Read-before-write staging, as in execute_copy (a rank may carry
     # several local transfers in 2-D, so all are gathered first).
@@ -492,16 +390,16 @@ def execute_copy_2d(
             return
         src_mem = ctx.memory(b.name)
         for tr in schedule.sends_from(ctx.rank):
-            ctx.send(tr.dest, tag, gather_slots(src_mem, tr.src_slots, kernels))
+            ctx.send(tr.dest, tag, gather_slots(src_mem, tr.src_slots))
         staged = [
-            (tr, gather_slots(src_mem, tr.src_slots, kernels))
+            (tr, gather_slots(src_mem, tr.src_slots))
             for tr in schedule.locals_
             if tr.source == ctx.rank
         ]
         if staged:
             dst_mem = ctx.memory(a.name)
             for tr, values in staged:
-                scatter_slots(dst_mem, tr.dst_slots, values, kernels)
+                scatter_slots(dst_mem, tr.dst_slots, values)
 
     def unpack_phase(ctx):
         if ctx.rank >= a.grid.size:
@@ -509,7 +407,7 @@ def execute_copy_2d(
         dst_mem = ctx.memory(a.name)
         for tr in schedule.receives_at(ctx.rank):
             payload = ctx.recv(tr.source, tag)
-            scatter_slots(dst_mem, tr.dst_slots, payload, kernels)
+            scatter_slots(dst_mem, tr.dst_slots, payload)
 
     with vm.obs.span("execute_copy_2d", array=a.name, rhs=b.name):
         vm.bsp(pack_phase, unpack_phase)

@@ -1,4 +1,4 @@
-"""Native-speed access-sequence kernels behind a NumPy-safe dispatch seam.
+"""Compiled access-sequence kernels: Table 2 subjects and test oracles.
 
 The runtime has emitted faithful Figure 8 C since the seed
 (:mod:`repro.runtime.emit_c`) but only ever *interpreted* the ΔM tables
@@ -14,26 +14,23 @@ to executed kernels:
   :class:`RuntimeKernels` -- the four Figure 8 node-code shapes, the
   descending fill, the indexed fill, and the ΔM-driven pack/unpack
   (gather/scatter) -- with ctypes signatures checked at load time;
-* :func:`kernels_for` is the dispatch seam :mod:`repro.runtime.codegen`
-  and :mod:`repro.runtime.exec` consult: it returns the loaded kernels
-  or ``None``, and ``None`` always means "use the existing NumPy path".
+* :func:`get_runtime_kernels` returns the loaded kernels or ``None``
+  (no compiler, a broken compiler, a non-LP64 platform).
 
-Native dispatch **never changes results**: the scalar Python shapes stay
-the correctness referee (differential property tests in
-``tests/runtime/test_native.py``), and any reason the native path cannot
-serve a call -- no compiler, a broken compiler, a non-float64 or
-non-contiguous memory, a ``TracingMemory`` -- falls back to NumPy with
-an observable counter (and a single process-wide warning when the cause
-is a missing compiler).
-
-Selection model (``native=`` arguments accept ``None``/``True``/``False``):
-
-* ``native=True`` -- use compiled kernels, falling back if unavailable;
-* ``native=False`` -- never;
-* ``native=None`` (default) -- follow the global mode:
-  ``auto`` (default) treats ``None`` as NumPy, ``on`` treats it as
-  native-when-available, ``off`` force-disables even explicit ``True``
-  (kill switch).  Set via :func:`set_native_mode` or ``REPRO_NATIVE``.
+The compiled kernels are **not** a production execution tier: the
+executors always run the NumPy-vectorized ΔM traversal (shape (v) and
+fancy-indexed pack/unpack).  On the end-to-end benchmark, compiled
+dispatch everywhere was ~7% faster than shape (v) on large warm fills
+but ~10% slower on plan-heavy programs, whose ~512-element rank slices
+pay more for each ctypes ``ndpointer`` argument check than for a NumPy
+fancy index; shape (v) keeps 92% of the fill gain at no cost.  The
+kernels stay as Table 2 subjects
+(:func:`repro.runtime.codegen.get_shape` with ``native=True``) and as
+differential test oracles; the scalar Python shapes remain the
+semantics of record (``tests/runtime/test_native.py``).  A call the
+kernels cannot serve -- a non-float64 or non-contiguous memory, a
+``TracingMemory`` -- returns ``None`` so the caller falls back to the
+Python shape; a missing compiler warns once.
 
 Counters (through the ambient obs handle): ``native.compile``,
 ``native.disk_hit``, ``native.handle_hit``, ``native.rebuild_corrupt``,
@@ -44,7 +41,6 @@ Counters (through the ambient obs handle): ``native.compile``,
 from __future__ import annotations
 
 import ctypes
-import os
 import warnings
 
 import numpy as np
@@ -66,17 +62,12 @@ __all__ = [
     "RuntimeKernels",
     "native_available",
     "get_runtime_kernels",
-    "kernels_for",
-    "native_mode",
-    "set_native_mode",
     "reset_native_state",
     "build_cached",
     "compiler_id",
     "find_compiler",
     "clear_handle_cache",
 ]
-
-_MODES = ("auto", "on", "off")
 
 _REQUIRED_SYMBOLS = (
     "repro_fill_a",
@@ -215,24 +206,6 @@ class RuntimeKernels:
 _kernels: RuntimeKernels | None = None
 _load_failed = False
 _warned = False
-_mode = os.environ.get("REPRO_NATIVE", "auto").lower()
-if _mode not in _MODES:
-    _mode = "auto"
-
-
-def native_mode() -> str:
-    """The global selection mode: ``auto``, ``on``, or ``off``."""
-    return _mode
-
-
-def set_native_mode(mode: str) -> str:
-    """Set the global mode; returns the previous one.  ``off`` is the
-    kill switch (even explicit ``native=True`` calls use NumPy)."""
-    global _mode
-    if mode not in _MODES:
-        raise ValueError(f"unknown native mode {mode!r}; choose from {_MODES}")
-    previous, _mode = _mode, mode
-    return previous
 
 
 def _warn_fallback(reason: str) -> None:
@@ -284,20 +257,6 @@ def get_runtime_kernels() -> RuntimeKernels | None:
 def native_available() -> bool:
     """Whether native dispatch can actually serve calls right now."""
     return get_runtime_kernels() is not None
-
-
-def kernels_for(flag: bool | None) -> RuntimeKernels | None:
-    """Resolve a ``native=`` argument against the global mode.
-
-    The one seam every dispatch site goes through; returns the kernels
-    to use or ``None`` for the NumPy path.
-    """
-    mode = _mode
-    if mode == "off" or flag is False:
-        return None
-    if flag is None and mode != "on":
-        return None
-    return get_runtime_kernels()
 
 
 def reset_native_state() -> None:

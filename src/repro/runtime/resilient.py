@@ -76,7 +76,6 @@ from ..machine.iface import Machine
 from .commsets import CommSchedule, Transfer
 from .plancache import cached_comm_schedule
 from .exec import _check_vm, as_index, gather_slots, scatter_slots
-from .native import kernels_for
 from .redistribute import RedistributionStats, stats_from_schedule
 
 __all__ = [
@@ -750,18 +749,14 @@ def _execute_copy_resilient(
         if ctx.rank >= b.grid.size:
             return
         src_mem = ctx.memory(b.name)
-        # Packing runs through the native/NumPy dispatch seam
-        # (repro.runtime.native, global mode): the hot gather loops are
-        # compiled when available, bit-identical either way.
-        kernels = kernels_for(None)
         for tid, tr in enumerate(transfers):
             if tr.source != ctx.rank:
                 continue
-            payload = gather_slots(src_mem, tr.src_slots, kernels)
+            payload = gather_slots(src_mem, tr.src_slots)
             outbox[ctx.rank][tid] = _Outbound(tr, payload)
             ctx.send(tr.dest, data_tag, Packet(tid, 0, _packet_checksum(tid, 0, payload), payload))
         staged = [
-            (tr, gather_slots(src_mem, tr.src_slots, kernels))
+            (tr, gather_slots(src_mem, tr.src_slots))
             for tr in schedule.locals_
             if tr.source == ctx.rank
         ]
@@ -769,7 +764,7 @@ def _execute_copy_resilient(
         if staged:
             dst_mem = ctx.memory(a.name)
             for tr, values in staged:
-                scatter_slots(dst_mem, tr.dst_slots, values, kernels)
+                scatter_slots(dst_mem, tr.dst_slots, values)
                 if auditor is not None:
                     auditor.note_write(ctx.rank, a.name, tr.dst_slots)
 

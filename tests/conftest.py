@@ -56,6 +56,32 @@ def bounded_access_params(draw):
     return p, k, l, u, s, m
 
 
+@st.composite
+def array_plans(draw):
+    """``(plan, local_size)`` for ``A(l:u:s)`` on rank ``m`` of a random
+    ``cyclic(k)`` 1-D array over ``p`` ranks, under an identity or an
+    affine alignment (affine plans carry no shape-(d) tables)."""
+    from repro.distribution import (
+        Alignment, AxisMap, CyclicK, DistributedArray, ProcessorGrid,
+        RegularSection,
+    )
+    from repro.runtime.address import make_array_plan
+
+    p = draw(procs)
+    k = draw(blocks)
+    a, b = draw(st.sampled_from([(1, 0), (1, 0), (1, 3), (2, 1), (3, 5)]))
+    n = draw(st.integers(min_value=1, max_value=400))
+    l = draw(st.integers(min_value=0, max_value=n - 1))
+    u = draw(st.integers(min_value=l, max_value=n - 1))
+    s = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=0, max_value=p - 1))
+    array = DistributedArray(
+        "A", (n,), ProcessorGrid("G", (p,)),
+        (AxisMap(CyclicK(k), Alignment(a, b), grid_axis=0),),
+    )
+    return make_array_plan(array, 0, RegularSection(l, u, s), m), array.local_size(m)
+
+
 @pytest.fixture
 def paper_params():
     """The paper's running example: p=4, k=8, l=4, s=9, m=1 (Figure 6)."""

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from repro.core.baselines.naive import enumerate_local_elements
 from repro.machine.trace import TracingMemory
 from repro.runtime.address import make_plan
-from repro.runtime.codegen import SHAPES, get_shape, materialize_addresses
+from repro.runtime.codegen import (
+    SHAPES,
+    fill_vectorized,
+    get_shape,
+    materialize_addresses,
+)
 
-from ..conftest import bounded_access_params
+from ..conftest import array_plans, bounded_access_params
 
 ALL_SHAPES = sorted(SHAPES)
 
@@ -18,8 +23,8 @@ class TestRegistry:
     def test_known_shapes(self):
         assert set(SHAPES) == {"a", "b", "c", "d", "v"}
         for name in SHAPES:
-            # An interpreter pin bypasses native dispatch entirely; the
-            # default may return a native wrapper under REPRO_NATIVE=on.
+            # Only native=True wraps the compiled shape.
+            assert get_shape(name) is SHAPES[name]
             assert get_shape(name, native=False) is SHAPES[name]
 
     def test_unknown_shape(self):
@@ -71,6 +76,27 @@ class TestShapesAgainstOracle:
         for other in images[1:]:
             assert np.array_equal(images[0], other)
         assert sorted(np.nonzero(images[0])[0].tolist()) == sorted(set(want))
+
+
+class TestAgainstVectorized:
+    """Plan-level differential against shape (v), the executors' fill:
+    every Figure 8 shape (d only where its tables exist) writes the same
+    bits, and the same ascending write sequence, on identity and affine
+    plans."""
+
+    @given(array_plans())
+    @settings(max_examples=150, deadline=None)
+    def test_shapes_match_fill_vectorized(self, plan_and_size):
+        plan, size = plan_and_size
+        want = TracingMemory(np.zeros(size))
+        written = fill_vectorized(want, plan, 3.5)
+        assert written == plan.count
+        shapes = "abcd" if plan.start_offset is not None else "abc"
+        for shape in shapes:
+            got = TracingMemory(np.zeros(size))
+            assert SHAPES[shape](got, plan, 3.5) == written, shape
+            assert got.trace.writes == want.trace.writes, shape
+            assert np.array_equal(got.arena, want.arena), shape
 
 
 class TestMaterialize:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.distribution.align import Alignment
 from repro.distribution.array import AxisMap, DistributedArray
-from repro.distribution.dist import Block, Cyclic, CyclicK, ProcessorGrid
+from repro.distribution.dist import Block, Collapsed, Cyclic, CyclicK, ProcessorGrid
 from repro.distribution.section import RegularSection
 from repro.machine.vm import VirtualMachine
+from repro.runtime.codegen import SHAPES
 from repro.runtime.commsets import compute_comm_schedule
 from repro.runtime.exec import collect, distribute, execute_copy, execute_fill
+from repro.runtime.plancache import cached_array_plan
 
 
 def make_1d(name, n, p, k, a=1, b=0, textent=None):
@@ -72,34 +74,51 @@ class TestDistributeCollect:
 class TestFill:
     @pytest.mark.parametrize("shape", ["a", "b", "c", "d", "v"])
     def test_fill_matches_numpy(self, shape):
+        # The executor runs shape (v); each Figure 8 shape, applied to the
+        # same cached plans, must leave every rank's memory bit-identical.
         arr = make_1d("A", 320, 4, 8)
+        sec = RegularSection(4, 319, 9)
         vm = VirtualMachine(4)
         distribute(vm, arr, np.zeros(320))
-        n = execute_fill(vm, arr, (RegularSection(4, 319, 9),), 100.0, shape=shape)
+        n = execute_fill(vm, arr, (sec,), 100.0)
         ref = np.zeros(320)
         ref[4:320:9] = 100.0
         assert np.array_equal(collect(vm, arr), ref)
         assert n == len(range(4, 320, 9))
+        written = 0
+        for rank in range(4):
+            mem = np.zeros(arr.local_size(rank))
+            written += SHAPES[shape](mem, cached_array_plan(arr, 0, sec, rank), 100.0)
+            assert np.array_equal(mem, vm.processors[rank].memory("A"))
+        assert written == n
 
     def test_fill_negative_stride(self):
         arr = make_1d("A", 100, 4, 8)
         vm = VirtualMachine(4)
         distribute(vm, arr, np.zeros(100))
-        execute_fill(vm, arr, (RegularSection(90, 10, -5),), 1.0, shape="b")
+        execute_fill(vm, arr, (RegularSection(90, 10, -5),), 1.0)
         ref = np.zeros(100)
         ref[10:91:5] = 1.0
         assert np.array_equal(collect(vm, arr), ref)
 
-    def test_fill_aligned_rejects_shape_d(self):
+    def test_fill_aligned(self):
+        # Affine alignments have no shape-(d) tables; the executor's
+        # vectorized fill serves them, bit-identical to shapes a-c.
         arr = make_1d("A", 100, 4, 8, a=2, b=1, textent=256)
+        sec = RegularSection(0, 99, 3)
         vm = VirtualMachine(4)
         distribute(vm, arr, np.zeros(100))
-        with pytest.raises(ValueError, match="identity alignment"):
-            execute_fill(vm, arr, (RegularSection(0, 99, 3),), 1.0, shape="d")
-        execute_fill(vm, arr, (RegularSection(0, 99, 3),), 1.0, shape="b")
+        assert execute_fill(vm, arr, (sec,), 1.0) == len(range(0, 100, 3))
         ref = np.zeros(100)
         ref[0:100:3] = 1.0
         assert np.array_equal(collect(vm, arr), ref)
+        for rank in range(4):
+            plan = cached_array_plan(arr, 0, sec, rank)
+            assert plan.start_offset is None
+            for shape in "abc":
+                mem = np.zeros(arr.local_size(rank))
+                SHAPES[shape](mem, plan, 1.0)
+                assert np.array_equal(mem, vm.processors[rank].memory("A"))
 
     def test_fill_2d(self):
         grid = ProcessorGrid("P", (2, 2))
@@ -116,6 +135,53 @@ class TestFill:
         ref[1:8:2, 0:9:3] = 5.0
         assert np.array_equal(collect(vm, arr), ref)
         assert n == 4 * 3
+
+    @given(
+        st.sampled_from([
+            ((2, 2), (0, None)),   # dim 0 on grid axis 0, replicated on 1
+            ((2, 3), (1, None)),   # dim 0 on grid axis 1, replicated on 0
+            ((3, 2), (None, 0)),   # dim 1 on grid axis 0, replicated on 1
+            ((2, 2), (1,)),        # rank-1 array replicated on grid axis 0
+        ]),
+        st.integers(min_value=1, max_value=4),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fill_replicated_matches_per_element_oracle(self, layout, k, data):
+        grid_shape, axes = layout
+        grid = ProcessorGrid("P", grid_shape)
+        shape = tuple(data.draw(st.integers(min_value=1, max_value=9))
+                      for _ in axes)
+        maps = tuple(
+            AxisMap(Collapsed()) if axis is None
+            else AxisMap(CyclicK(k), grid_axis=axis)
+            for axis in axes
+        )
+        arr = DistributedArray("R", shape, grid, maps)
+        secs = []
+        for extent in shape:
+            lo = data.draw(st.integers(min_value=0, max_value=extent - 1))
+            hi = data.draw(st.integers(min_value=lo, max_value=extent - 1))
+            stride = data.draw(st.integers(min_value=1, max_value=3))
+            secs.append(RegularSection(lo, hi, stride))
+        secs = tuple(secs)
+
+        vm = VirtualMachine(grid.size)
+        distribute(vm, arr, np.zeros(shape))
+        total = execute_fill(vm, arr, secs, 7.0)
+
+        # The per-element path execute_fill used for replicated arrays:
+        # every holder stores, each element counts at its lowest owner.
+        want_total = 0
+        for rank in range(grid.size):
+            memory = np.zeros(arr.local_size(rank))
+            pairs = arr.local_section_elements(secs, rank)
+            for idx, addr in pairs:
+                memory[addr] = 7.0
+            want_total += sum(1 for idx, _ in pairs if arr.owners(idx)[0] == rank)
+            assert np.array_equal(vm.processors[rank].memory("R"), memory)
+        assert total == want_total
+        assert total == int(np.prod([len(sec.normalized()) for sec in secs]))
 
     def test_section_count_mismatch(self):
         arr = make_1d("A", 100, 4, 8)

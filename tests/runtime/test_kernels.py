@@ -37,12 +37,8 @@ from repro.runtime.commsets import (
     compute_comm_schedule,
     compute_comm_schedule_reference,
 )
-from repro.runtime.exec import (
-    collect,
-    collect_reference,
-    distribute,
-    distribute_reference,
-)
+from repro.runtime.exec import collect, distribute
+from repro.runtime.oracles import collect_reference, distribute_reference
 
 
 @st.composite

@@ -1,11 +1,14 @@
 """Tests for the compiled-kernel subsystem (:mod:`repro.runtime.native`).
 
-Three layers:
+Four layers:
 
 * differential -- the compiled Figure 8 shapes and pack/unpack kernels
   must be bit-identical to the interpreted Python shapes (the semantics
-  of record) over randomized plan sweeps, and the executors must produce
-  identical machine states with ``native=True`` and ``native=False``;
+  of record) and to shape (v), the executors' fill, over randomized
+  identity and affine plan sweeps, and the executors' machine states
+  must match the compiled kernels applied plan by plan;
+* production tier -- running a compiled program never calls the
+  interpreted shapes (a)-(d) and never builds or loads a kernel library;
 * cache -- one compilation ever per descriptor, disk hits after the
   handle cache is dropped, corrupt artifacts rejected and rebuilt;
 * degradation -- a missing or broken compiler falls back to NumPy with
@@ -17,6 +20,7 @@ degradation tests run everywhere (they *hide* the compiler on purpose).
 
 import os
 import shutil
+import sys
 import warnings
 
 import numpy as np
@@ -32,22 +36,29 @@ from repro.distribution import (
 )
 from repro.machine.vm import VirtualMachine
 from repro.obs import Observability, set_ambient
+from repro.lang import compile_source, parse_program
+from repro.lang.reference import interpret
+from repro.machine.trace import TracingMemory
 from repro.runtime import (
+    cached_array_plan,
+    cached_comm_schedule,
+    cached_localized_arrays,
     clear_plan_caches,
     collect,
     distribute,
     execute_copy,
     execute_fill,
+    fill_vectorized,
     get_shape,
+    make_array_plan,
     make_plan,
 )
+from repro.runtime import codegen
 from repro.runtime.native import (
+    RuntimeKernels,
     get_runtime_kernels,
-    kernels_for,
     native_available,
-    native_mode,
     reset_native_state,
-    set_native_mode,
 )
 from repro.runtime.native.build import (
     NativeBuildError,
@@ -106,6 +117,21 @@ def make_1d(name, n, p, k, a=1, b=0):
     )
 
 
+def random_array_plan(rng):
+    """A random identity- or affine-aligned array plan and its rank's
+    local size (affine plans have no shape-(d) tables)."""
+    p = int(rng.integers(1, 9))
+    k = int(rng.integers(1, 17))
+    a, b = [(1, 0), (1, 4), (2, 1), (3, 2)][int(rng.integers(0, 4))]
+    n = int(rng.integers(1, 500))
+    l = int(rng.integers(0, n))
+    u = int(rng.integers(l, n))
+    s = int(rng.integers(1, 30))
+    m = int(rng.integers(0, p))
+    arr = make_1d("A", n, p, k, a, b)
+    return make_array_plan(arr, 0, RegularSection(l, u, s), m), arr.local_size(m)
+
+
 # ---------------------------------------------------------------------------
 # Differential: compiled kernels vs the interpreted semantics of record
 # ---------------------------------------------------------------------------
@@ -159,44 +185,160 @@ class TestDifferential:
         assert kernels.gather(strided, np.array([0, 1])) is None
         assert not kernels.scatter(strided, np.array([0]), np.array([1.0]))
 
+    def test_kernels_match_fill_vectorized(self, native_env):
+        # Every compiled shape (d where its tables exist) writes the bits
+        # the executors' fill writes, on identity and affine plans; on a
+        # TracingMemory (not native-servable) the compiled shape falls
+        # back and logs the same ascending write sequence.
+        kernels = get_runtime_kernels()
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            plan, size = random_array_plan(rng)
+            value = float(rng.standard_normal())
+            want = TracingMemory(np.zeros(size))
+            written = fill_vectorized(want, plan, value)
+            for shape in ("abcd" if plan.start_offset is not None else "abc"):
+                mem = np.zeros(size)
+                assert kernels.fill(mem, plan, value, shape) == written
+                assert np.array_equal(mem, want.arena), (plan, shape)
+                traced = TracingMemory(np.zeros(size))
+                assert get_shape(shape, native=True)(traced, plan, value) == written
+                assert traced.trace.writes == want.trace.writes, (plan, shape)
+
     def test_executors_bit_identical(self, native_env):
+        # The production distribute/fill/collect against the compiled
+        # kernels applied plan by plan to the same host image.
+        kernels = get_runtime_kernels()
         rng = np.random.default_rng(11)
-        for n, p, k in [(257, 4, 5), (64, 3, 1), (100, 5, 8)]:
+        for n, p, k, a, b in [(257, 4, 5, 1, 0), (64, 3, 1, 1, 0),
+                              (100, 5, 8, 1, 0), (90, 4, 3, 2, 1)]:
             host = rng.standard_normal(n)
-            arr_n, arr_i = make_1d("X", n, p, k), make_1d("X", n, p, k)
-            vm_n, vm_i = VirtualMachine(p), VirtualMachine(p)
-            distribute(vm_n, arr_n, host, native=True)
-            distribute(vm_i, arr_i, host, native=False)
-            for m in range(p):
-                assert np.array_equal(
-                    vm_n.processors[m].memory("X"),
-                    vm_i.processors[m].memory("X"),
-                )
+            arr = make_1d("X", n, p, k, a, b)
+            vm = VirtualMachine(p)
+            distribute(vm, arr, host)
             sec = RegularSection(1, n - 2, 3)
-            for shape in "abcd":
-                assert execute_fill(
-                    vm_n, arr_n, (sec,), 5.0, shape=shape, native=True
-                ) == execute_fill(
-                    vm_i, arr_i, (sec,), 5.0, shape=shape, native=False
+            total = execute_fill(vm, arr, (sec,), 5.0)
+            want_total = 0
+            collected = np.zeros(n)
+            for m in range(p):
+                idx, slots = cached_localized_arrays(
+                    p, k, n, Alignment(a, b), RegularSection(0, n - 1, 1), m
                 )
-            assert np.array_equal(
-                collect(vm_n, arr_n, native=True),
-                collect(vm_i, arr_i, native=False),
-            )
+                local = np.zeros(arr.local_size(m))
+                assert kernels.scatter(local, slots, kernels.gather(host, idx))
+                plan = cached_array_plan(arr, 0, sec, m)
+                counts = set()
+                for shape in ("abcd" if plan.start_offset is not None else "abc"):
+                    image = local.copy()
+                    counts.add(kernels.fill(image, plan, 5.0, shape))
+                    assert np.array_equal(image, vm.processors[m].memory("X"))
+                (written,) = counts
+                want_total += written
+                assert kernels.scatter(collected, idx, kernels.gather(image, slots))
+            assert total == want_total
+            assert np.array_equal(collect(vm, arr), collected)
 
     def test_execute_copy_bit_identical(self, native_env):
+        # execute_copy against its schedule replayed through the compiled
+        # pack/unpack kernels (every payload gathered before any store).
+        kernels = get_runtime_kernels()
         clear_plan_caches()
         n, p = 200, 4
         host = np.arange(n, dtype=float)
-        a_n, b_n = make_1d("A", n, p, 7), make_1d("B", n, p, 3)
-        a_i, b_i = make_1d("A", n, p, 7), make_1d("B", n, p, 3)
-        vm_n, vm_i = VirtualMachine(p), VirtualMachine(p)
-        for vm, a, b, native in ((vm_n, a_n, b_n, True), (vm_i, a_i, b_i, False)):
-            distribute(vm, a, np.zeros(n), native=native)
-            distribute(vm, b, host, native=native)
-            execute_copy(vm, a, RegularSection(0, n - 2, 1),
-                         b, RegularSection(1, n - 1, 1), native=native)
-        assert np.array_equal(collect(vm_n, a_n), collect(vm_i, a_i))
+        a, b = make_1d("A", n, p, 7), make_1d("B", n, p, 3)
+        vm = VirtualMachine(p)
+        distribute(vm, a, np.zeros(n))
+        distribute(vm, b, host)
+        src = [vm.processors[m].memory("B").copy() for m in range(p)]
+        dst = [vm.processors[m].memory("A").copy() for m in range(p)]
+        sec_a, sec_b = RegularSection(0, n - 2, 1), RegularSection(1, n - 1, 1)
+        execute_copy(vm, a, sec_a, b, sec_b)
+        schedule = cached_comm_schedule(a, sec_a, b, sec_b)
+        payloads = [
+            (tr, kernels.gather(src[tr.source], np.asarray(tr.src_slots)))
+            for tr in schedule.locals_ + schedule.transfers
+        ]
+        for tr, values in payloads:
+            assert kernels.scatter(dst[tr.dest], np.asarray(tr.dst_slots), values)
+        for m in range(p):
+            assert np.array_equal(vm.processors[m].memory("A"), dst[m])
+        want = np.zeros(n)
+        want[0:n - 1] = host[1:n]
+        assert np.array_equal(collect(vm, a), want)
+
+
+# ---------------------------------------------------------------------------
+# The production tier never dispatches to Figure 8 loops or compiled code
+# ---------------------------------------------------------------------------
+
+PROGRAMS = ("""
+PROCESSORS P(4)
+TEMPLATE   T(1200)
+REAL       A(300)
+REAL       B(300)
+REAL       C(300)
+ALIGN      A(i) WITH T(i)
+ALIGN      B(i) WITH T(2*i+1)
+ALIGN      C(i) WITH T(3*i+5)
+DISTRIBUTE T(CYCLIC(8)) ONTO P
+A(4:299:9) = 100.0
+B(0:299:3) = 7.0
+C(1:298:2) = A(0:297:2)
+A(0:298) = 0.5*A(1:299) + 0.5*B(0:298)
+FORALL (i = 0:99) C(3*i) = 2.0
+""", """
+PROCESSORS P(2, 2)
+TEMPLATE   U(12, 10)
+TEMPLATE   V(10, 12)
+REAL       M(12, 10)
+REAL       Q(10, 12)
+ALIGN      M(i, j) WITH U(i, j)
+ALIGN      Q(i, j) WITH V(i, j)
+DISTRIBUTE U(CYCLIC(2), CYCLIC(3)) ONTO P
+DISTRIBUTE V(CYCLIC(3), CYCLIC(2)) ONTO P
+M(1:11:2, 0:9:3) = 5.0
+Q(0:9, 0:11) = TRANSPOSE(M(0:11, 0:9))
+Q(0:9:4, 1:11:5) = -2.0
+""")
+
+
+class TestProductionTier:
+    def test_compiled_program_never_runs_shapes_or_kernels(self, native_env, obs):
+        # A profiler hook sees every call by code object, however the
+        # callee was imported or aliased.
+        forbidden = {
+            fn.__code__: fn.__qualname__
+            for fn in (
+                codegen.fill_shape_a, codegen.fill_shape_b,
+                codegen.fill_shape_c, codegen.fill_shape_d,
+                get_runtime_kernels, load_library, build_cached,
+                RuntimeKernels.fill, RuntimeKernels.fill_indexed,
+                RuntimeKernels.gather, RuntimeKernels.scatter,
+            )
+        }
+        called = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code in forbidden:
+                called.append(forbidden[frame.f_code])
+
+        before = {name: obs.metrics.value(name) for name in (
+            "native.compile", "native.disk_hit", "native.handle_hit",
+            "native.fallback",
+        )}
+        for source in PROGRAMS:
+            program = compile_source(source)
+            sys.setprofile(profiler)
+            try:
+                vm = program.run()
+            finally:
+                sys.setprofile(None)
+            want = interpret(parse_program(source), {})
+            for name in program.arrays:
+                assert np.array_equal(program.image(vm, name), want[name]), name
+        assert called == []
+        for name, value in before.items():
+            assert obs.metrics.value(name) == value, name
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +423,8 @@ class TestDegradation:
         assert compiler_id() == "none"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert kernels_for(True) is None
-            assert kernels_for(True) is None  # second call: no second warning
+            assert get_runtime_kernels() is None
+            assert get_runtime_kernels() is None  # second call: no second warning
         runtime_warnings = [
             w for w in caught if issubclass(w.category, RuntimeWarning)
         ]
@@ -291,23 +433,28 @@ class TestDegradation:
         assert obs.metrics.value("native.fallback") == 2
 
     def test_missing_cc_results_still_correct(self, native_env, monkeypatch):
+        # The executors never need a compiler: no fallback warning at all.
         monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
         reset_native_state()
         n, p = 100, 4
         host = np.arange(n, dtype=float)
         arr = make_1d("X", n, p, 5)
         vm = VirtualMachine(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            distribute(vm, arr, host, native=True)  # silently NumPy
-            assert np.array_equal(collect(vm, arr, native=True), host)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            distribute(vm, arr, host)
+            assert np.array_equal(collect(vm, arr), host)
+            execute_fill(vm, arr, (RegularSection(0, n - 1, 7),), -1.0)
+            host[0:n:7] = -1.0
+            assert np.array_equal(collect(vm, arr), host)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_broken_cc_falls_back(self, native_env, obs, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_CC", "/bin/false")
         reset_native_state()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert kernels_for(True) is None
+            assert get_runtime_kernels() is None
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         plan = make_plan(4, 8, 4, 319, 9, 1)
         mem = np.zeros(80)
@@ -320,25 +467,3 @@ class TestDegradation:
         reset_native_state()
         with pytest.raises(NativeBuildError):
             build_cached(TINY_C, {"unit": "broken"})
-
-    def test_mode_off_is_kill_switch(self, native_env):
-        previous = set_native_mode("off")
-        try:
-            assert kernels_for(True) is None
-            assert kernels_for(None) is None
-        finally:
-            set_native_mode(previous)
-
-    @needs_cc
-    def test_mode_on_serves_default_calls(self, native_env):
-        previous = set_native_mode("on")
-        try:
-            assert kernels_for(None) is not None
-            assert kernels_for(False) is None  # explicit False still wins
-        finally:
-            set_native_mode(previous)
-
-    def test_mode_roundtrip_and_validation(self):
-        assert native_mode() in ("auto", "on", "off")
-        with pytest.raises(ValueError, match="unknown native mode"):
-            set_native_mode("sometimes")

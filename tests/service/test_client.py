@@ -71,6 +71,7 @@ class ScriptedServer:
         self.path = str(tmp_path / "fake.sock")
         self.script = list(script)
         self.requests: list[dict] = []
+        self._conn: socket.socket | None = None
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(self.path)
         self._listener.listen(8)
@@ -84,6 +85,7 @@ class ScriptedServer:
                 conn, _ = self._listener.accept()
             except (OSError, socket.timeout):
                 return
+            self._conn = conn
             try:
                 self._serve_conn(conn)
             finally:
@@ -103,6 +105,14 @@ class ScriptedServer:
 
     def close(self) -> None:
         self.script = []
+        # Wake a _serve_conn blocked in recv (it would otherwise wait out
+        # its read deadline) and an accept blocked on the listener.
+        for sock in (self._conn, self._listener):
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
         self._listener.close()
         self._thread.join(timeout=5.0)
         if os.path.exists(self.path):
